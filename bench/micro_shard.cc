@@ -292,10 +292,10 @@ struct SpeedupResult
 
 /**
  * Stage 2: the composite figure-style workload, serial vs sharded.
- * The set-associative half replicates trace decode per shard (its
- * speedup ceiling at 8 workers is ~2x); the FA half parallelizes
- * decode too (near-linear). The composite is what real sweep passes
- * look like, and is the headline shard_speedup.
+ * Both halves decode each record once: the FA half per time segment,
+ * the set-associative half per scatter slice before the shards
+ * consume their buckets. The composite is what real sweep passes look
+ * like, and is the headline shard_speedup.
  */
 SpeedupResult
 measureSpeedup(const std::string &path, const SceneLayout &layout,

@@ -10,16 +10,92 @@ namespace texcache {
 
 // ---- Set partitioning ----------------------------------------------
 
-SetShardSim::SetShardSim(const std::vector<CacheConfig> &configs,
-                         unsigned shard, unsigned shards)
-    : shard_(shard), shards_(shards)
+SetPartition::SetPartition(const std::vector<CacheConfig> &configs,
+                           unsigned shards)
+    : shards_(shards)
 {
     fatal_if(configs.empty(), "sharded simulation with no configs");
-    fatal_if(!shards || shard >= shards, "shard ", shard, " of ",
-             shards);
-    members_.reserve(configs.size());
+    fatal_if(!shards, "set partition into zero shards");
+    groupOf_.reserve(configs.size());
     for (const CacheConfig &c : configs) {
-        Member m{CacheSim(c), log2Exact(c.lineBytes), c.numSets() - 1};
+        unsigned shift = log2Exact(c.lineBytes);
+        uint64_t mask = std::min(c.numSets(), kOwnerTable) - 1;
+        auto it = std::find_if(
+            groups_.begin(), groups_.end(),
+            [&](const Group &g) { return g.lineShift == shift; });
+        if (it == groups_.end()) {
+            groups_.push_back({shift, mask});
+            it = groups_.end() - 1;
+        }
+        // Set counts are powers of two, so the smallest mask's bits
+        // are low bits of every member's set index.
+        it->mask = std::min(it->mask, mask);
+        groupOf_.push_back(static_cast<unsigned>(it - groups_.begin()));
+    }
+    uint64_t table = 1;
+    for (const Group &g : groups_)
+        table = std::max(table, g.mask + 1);
+    owner_.resize(table);
+    for (uint64_t k = 0; k < table; ++k)
+        owner_[k] = static_cast<uint32_t>(k % shards);
+}
+
+void
+SetBuckets::Bucket::reserveMore(size_t n)
+{
+    if (size + n <= cap)
+        return;
+    size_t grown = std::max(size + n, cap * 2);
+    std::unique_ptr<Addr[]> next(new Addr[grown]);
+    std::copy(buf.get(), buf.get() + size, next.get());
+    buf = std::move(next);
+    cap = grown;
+}
+
+SetBuckets::SetBuckets(const SetPartition &part)
+    : part_(&part), buckets_(size_t(part.groups()) * part.shards()),
+      cursor_(part.shards())
+{}
+
+void
+SetBuckets::clear()
+{
+    for (Bucket &b : buckets_)
+        b.size = 0;
+}
+
+void
+SetBuckets::scatter(const Addr *a, size_t n)
+{
+    const unsigned shards = part_->shards();
+    const uint32_t *owner = part_->owner_.data();
+    Addr **cursor = cursor_.data();
+    for (unsigned g = 0; g < part_->groups(); ++g) {
+        Bucket *b = &buckets_[size_t(g) * shards];
+        for (unsigned s = 0; s < shards; ++s) {
+            b[s].reserveMore(n);
+            cursor[s] = b[s].buf.get() + b[s].size;
+        }
+        const unsigned shift = part_->groups_[g].lineShift;
+        const uint64_t mask = part_->groups_[g].mask;
+        for (size_t i = 0; i < n; ++i)
+            *cursor[owner[(a[i] >> shift) & mask]]++ = a[i];
+        for (unsigned s = 0; s < shards; ++s)
+            b[s].size = static_cast<size_t>(cursor[s] - b[s].buf.get());
+    }
+}
+
+SetShardSim::SetShardSim(const std::vector<CacheConfig> &configs,
+                         unsigned shard, const SetPartition &part)
+    : shard_(shard), shards_(part.shards())
+{
+    fatal_if(configs.empty(), "sharded simulation with no configs");
+    fatal_if(shard >= shards_, "shard ", shard, " of ", shards_);
+    panic_if(part.configs() != configs.size(), "partition of ",
+             part.configs(), " configs for a shard of ", configs.size());
+    members_.reserve(configs.size());
+    for (size_t i = 0; i < configs.size(); ++i) {
+        Member m{CacheSim(configs[i]), part.groupOf(i)};
         // Shard replays run many sims of the same organization; the
         // per-access trace stream would interleave nonsensically.
         m.sim.setTraceTag(tracing::kTagSilent);
@@ -28,22 +104,25 @@ SetShardSim::SetShardSim(const std::vector<CacheConfig> &configs,
 }
 
 void
+SetShardSim::consume(size_t m, const SetBuckets *slices, size_t count)
+{
+    Member &mem = members_[m];
+    for (size_t k = 0; k < count; ++k) {
+        const Addr *a = slices[k].data(mem.group, shard_);
+        size_t n = slices[k].size(mem.group, shard_);
+        for (size_t i = 0; i < n; ++i)
+            mem.sim.access(a[i]);
+    }
+}
+
+void
 SetShardSim::accessRange(const Addr *a, size_t n)
 {
-    // Sims outermost, like GroupSim: each simulator's tables stay hot
-    // while it consumes the whole span.
-    for (Member &m : members_) {
-        if (shards_ == 1) {
-            for (size_t i = 0; i < n; ++i)
-                m.sim.access(a[i]);
-            continue;
-        }
-        for (size_t i = 0; i < n; ++i) {
-            uint64_t set = (a[i] >> m.lineShift) & m.setMask;
-            if (set % shards_ == shard_)
-                m.sim.access(a[i]);
-        }
-    }
+    panic_if(shards_ != 1, "unscattered access to shard ", shard_,
+             " of ", shards_);
+    for (Member &m : members_)
+        for (size_t i = 0; i < n; ++i)
+            m.sim.access(a[i]);
 }
 
 std::vector<CacheStats>

@@ -5,13 +5,21 @@
  * Two decompositions, matched to the two simulator families
  * (DESIGN.md section 16):
  *
- *  - Set partitioning (SetShardSim), for set-associative caches. LRU
- *    within a set depends only on the relative order of that set's own
- *    accesses, and a line maps to exactly one set, so giving each
- *    worker an exclusive subset of sets (set % shards == shard) and
- *    replaying the *whole* stream through a filter yields per-shard
- *    statistics whose field-wise sum equals the serial run exactly -
- *    including evictions and cold misses.
+ *  - Set partitioning (SetPartition, SetBuckets, SetShardSim), for
+ *    set-associative caches. LRU within a set depends only on the
+ *    relative order of that set's own accesses, and a line maps to
+ *    exactly one set, so giving each shard an exclusive subset of sets
+ *    and feeding it, in stream order, exactly the accesses to those
+ *    sets yields per-shard statistics whose field-wise sum equals the
+ *    serial run - including evictions and cold misses. The stream is
+ *    decoded and mapped once: each time slice is scattered into
+ *    per-shard buckets (SetBuckets::scatter), and each shard consumes
+ *    its buckets slice by slice, simulating every address once. The
+ *    bucket key (SetPartition) is (line & mask) % shards, where mask
+ *    keeps the low set-index bits shared by every member of one line
+ *    size; the key is thus a function of each member's set index, so
+ *    every set has exactly one owner and scattering preserves each
+ *    set's access order.
  *
  *  - Time partitioning (StackSegmentPass + mergeStackShards), for the
  *    fully associative stack-distance profile, in the style of PARDA
@@ -40,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cache/multi_sim.hh"
@@ -48,20 +57,132 @@
 namespace texcache {
 
 /**
+ * Which shard owns each set of a family of cache configurations.
+ *
+ * Members are grouped by line size. Within a group, address a belongs
+ * to shard owner[(a >> lineShift) & mask]: mask keeps the low set-index
+ * bits every member of the group shares (the group's smallest set
+ * count, capped at kOwnerTable), and owner[k] = k % shards, so the
+ * table turns the per-address modulo into a load. The key is a
+ * function of each member's set index, so every set of every member is
+ * owned by exactly one shard, for any shard count. A member with fewer
+ * sets than shards narrows its whole group to that many shards (the
+ * rest idle for that group); results stay exact.
+ */
+class SetPartition
+{
+  public:
+    /** Largest owner table; 1024 keys keep k % shards near-balanced
+     *  for any shard count while the table stays in L1. */
+    static constexpr uint64_t kOwnerTable = 1024;
+
+    SetPartition(const std::vector<CacheConfig> &configs,
+                 unsigned shards);
+
+    unsigned shards() const { return shards_; }
+
+    /** Distinct line sizes among the configurations. */
+    unsigned groups() const
+    {
+        return static_cast<unsigned>(groups_.size());
+    }
+
+    /** Configurations the partition was built from. */
+    size_t configs() const { return groupOf_.size(); }
+
+    /** Line-size group of the constructor's @p i-th configuration. */
+    unsigned groupOf(size_t i) const { return groupOf_[i]; }
+
+    /** The shard owning @p a's set in every member of @p group. */
+    unsigned
+    shardOf(unsigned group, Addr a) const
+    {
+        const Group &g = groups_[group];
+        return owner_[(a >> g.lineShift) & g.mask];
+    }
+
+  private:
+    friend class SetBuckets;
+
+    struct Group
+    {
+        unsigned lineShift;
+        uint64_t mask;
+    };
+
+    std::vector<Group> groups_;
+    std::vector<unsigned> groupOf_;
+    std::vector<uint32_t> owner_;
+    unsigned shards_;
+};
+
+/**
+ * One time slice of the stream, scattered: bucket (group, shard) holds,
+ * in stream order, the slice's addresses whose set belongs to the shard
+ * in that line-size group's members. Buffers are kept across clear(),
+ * so a replay that reuses its slices allocates only while warming up.
+ */
+class SetBuckets
+{
+  public:
+    /** @p part must outlive the buckets. */
+    explicit SetBuckets(const SetPartition &part);
+
+    /** Empty every bucket (capacity is kept). */
+    void clear();
+
+    /** Append each of a[0..n) to its bucket in every group. */
+    void scatter(const Addr *a, size_t n);
+
+    const Addr *
+    data(unsigned group, unsigned shard) const
+    {
+        return buckets_[group * part_->shards() + shard].buf.get();
+    }
+
+    size_t
+    size(unsigned group, unsigned shard) const
+    {
+        return buckets_[group * part_->shards() + shard].size;
+    }
+
+  private:
+    struct Bucket
+    {
+        /** Uninitialized storage: pages are touched only as filled. */
+        std::unique_ptr<Addr[]> buf;
+        size_t size = 0;
+        size_t cap = 0;
+
+        void reserveMore(size_t n);
+    };
+
+    const SetPartition *part_;
+    std::vector<Bucket> buckets_; ///< [group * shards + shard]
+    std::vector<Addr *> cursor_;  ///< scatter scratch, one per shard
+};
+
+/**
  * One shard of a set-partitioned multi-config simulation: the member
- * sims consume only the accesses whose set index belongs to this
- * shard. Run one instance per shard over the full stream and merge
- * with mergeShardStats().
+ * sims of every configuration, fed only addresses whose set this
+ * shard owns. Run one instance per shard and merge with
+ * mergeShardStats().
  */
 class SetShardSim
 {
   public:
-    /** @p shard in [0, shards); shards == 1 bypasses the filter. */
+    /** @p shard in [0, part.shards()); @p part must be built from
+     *  @p configs. */
     SetShardSim(const std::vector<CacheConfig> &configs, unsigned shard,
-                unsigned shards);
+                const SetPartition &part);
 
-    /** Feed a contiguous span of addresses (sims-outermost, each
-     *  filtered to this shard's sets). */
+    /** Feed member @p m (the constructor's m-th config) this shard's
+     *  buckets of @p count consecutive slices, in slice (stream)
+     *  order. Distinct members may consume concurrently. */
+    void consume(size_t m, const SetBuckets *slices, size_t count);
+
+    /** Feed a[0..n) to every member, unscattered: valid only when the
+     *  partition has one shard, which owns every set. */
     void accessRange(const Addr *a, size_t n);
 
     /** Per-config statistics over this shard's sets only. */
@@ -71,8 +192,7 @@ class SetShardSim
     struct Member
     {
         CacheSim sim;
-        unsigned lineShift;
-        uint64_t setMask;
+        unsigned group;
     };
 
     std::vector<Member> members_;

@@ -58,26 +58,65 @@ stackPass(const TraceSource &src, const SceneLayout &layout,
     return mergeStackShards(passes, line_bytes);
 }
 
-/** Set-partitioned pass: every worker filters the full stream. */
+/**
+ * Set-partitioned pass, one window of chunks at a time: the workers
+ * decode, map and scatter contiguous slices of the window, then every
+ * (shard, member) simulation consumes its buckets in slice order. Two
+ * Sweep::runs per window (rather than a barrier inside one) keep 8
+ * shards on a 1-thread pool correct: the points of a run may execute
+ * serially.
+ */
 std::vector<CacheStats>
 setPass(const TraceSource &src, const SceneLayout &layout,
         const std::vector<CacheConfig> &configs, unsigned shards)
 {
     perf::addSimulatedAccesses(src.records());
-    std::vector<unsigned> ids(shards);
-    std::iota(ids.begin(), ids.end(), 0u);
-    auto results = Sweep::run(ids, [&](unsigned shard) {
-        SetShardSim sim(configs, shard, shards);
+    SetPartition part(configs, shards);
+    std::vector<SetShardSim> sims;
+    sims.reserve(shards);
+    for (unsigned s = 0; s < shards; ++s)
+        sims.emplace_back(configs, s, part);
+    if (shards == 1) {
         replaySegment(src, layout, 0, src.chunkCount(),
                       [&](const Addr *a, size_t n) {
-                          sim.accessRange(a, n);
+                          sims[0].accessRange(a, n);
                       });
-        return sim.stats();
-    });
+        return sims[0].stats();
+    }
+
+    const unsigned nslices = shards * kScatterSlicesPerShard;
+    std::vector<SetBuckets> slices;
+    slices.reserve(nslices);
+    for (unsigned k = 0; k < nslices; ++k)
+        slices.emplace_back(part);
+    std::vector<unsigned> sliceIds(nslices);
+    std::iota(sliceIds.begin(), sliceIds.end(), 0u);
+    std::vector<unsigned> simIds(shards * configs.size());
+    std::iota(simIds.begin(), simIds.end(), 0u);
+
+    const uint64_t chunks = src.chunkCount();
+    const uint64_t window = scatterWindow(shards, src.chunkRecords());
+    for (uint64_t w = 0; w < chunks; w += window) {
+        uint64_t n = std::min(window, chunks - w);
+        Sweep::run(sliceIds, [&](unsigned k) {
+            auto [b, e] = segmentRange(n, k, nslices);
+            slices[k].clear();
+            replaySegment(src, layout, w + b, w + e,
+                          [&](const Addr *a, size_t m) {
+                              slices[k].scatter(a, m);
+                          });
+            return true;
+        });
+        Sweep::run(simIds, [&](unsigned id) {
+            sims[id / configs.size()].consume(id % configs.size(),
+                                              slices.data(), nslices);
+            return true;
+        });
+    }
     std::vector<std::vector<CacheStats>> per;
-    per.reserve(results.size());
-    for (auto &r : results)
-        per.push_back(std::move(r.value));
+    per.reserve(shards);
+    for (const SetShardSim &sim : sims)
+        per.push_back(sim.stats());
     return mergeShardStats(per);
 }
 
@@ -142,6 +181,13 @@ runConfigsSharded(const TraceSource &src, const SceneLayout &layout,
 }
 
 } // namespace
+
+uint64_t
+scatterWindow(unsigned shards, uint32_t chunk_records)
+{
+    return uint64_t(shards) * kScatterSlicesPerShard *
+           std::max<uint64_t>(1, kScatterSliceRecords / chunk_records);
+}
 
 ShardedStackProfile
 profileTraceSharded(const TraceSource &src, const SceneLayout &layout,

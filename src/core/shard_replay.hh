@@ -7,8 +7,14 @@
  * sharding the simulation itself (cache/shard_sim.hh) and consuming
  * the trace as a stream of chunks (trace/trace_source.hh):
  *
- *  - set-associative configurations: every worker streams the full
- *    chunk range and filters to its exclusive subset of sets;
+ *  - set-associative configurations: the stream is taken one bounded
+ *    window of chunks at a time. The workers first cut the window into
+ *    contiguous time slices and decode, map and scatter each slice
+ *    once into per-shard buckets keyed by set (cache/shard_sim.hh,
+ *    SetPartition); then each shard's member simulators read its
+ *    buckets in slice order. Every record is decoded and mapped once
+ *    and every address simulated once, and the window (scatterWindow)
+ *    bounds the buckets' memory;
  *  - fully associative profiles: the chunk range is cut into
  *    contiguous segments profiled independently and reconciled
  *    exactly.
@@ -41,6 +47,29 @@ namespace texcache {
 
 /** @p shards, or the sweep thread count when @p shards is 0. */
 unsigned resolveShards(unsigned shards);
+
+/** Records one map-and-scatter slice covers: one default chunk. */
+constexpr uint64_t kScatterSliceRecords = kDefaultChunkRecords;
+
+/**
+ * Slices per shard in one window of the set-partitioned pass. Each
+ * window ends two Sweep::runs, and a run waits for its slowest worker:
+ * on a shared VM whose vCPUs are descheduled for milliseconds at a
+ * time, every run pays for a deschedule that hits it, so the count of
+ * runs sets the slowdown. 16 slices (2^20 records, 8 MiB of buckets
+ * per shard per line size) keep that to ~24 runs per 46M-record replay,
+ * and give the pool many points per phase to balance.
+ */
+constexpr unsigned kScatterSlicesPerShard = 16;
+
+/**
+ * Chunks per map-and-scatter window of the set-partitioned pass:
+ * kScatterSlicesPerShard slices of kScatterSliceRecords (at least one
+ * chunk) per shard. The window bounds the buckets' memory to about
+ * kScatterSlicesPerShard * kScatterSliceRecords addresses per shard
+ * per line size, however long the stream.
+ */
+uint64_t scatterWindow(unsigned shards, uint32_t chunk_records);
 
 /**
  * Stream chunks [@p chunk_begin, @p chunk_end) of @p src, map each

@@ -82,7 +82,10 @@ class StealRange
         }
     }
 
-    /** Thief side: take the back half of the remaining range. */
+    /** Thief side: take the back half of the remaining range,
+     *  rounded up, so a successful steal is never empty (an empty
+     *  one would let thieves spin until the owner popped its last
+     *  point). */
     bool
     stealHalf(uint32_t &sb, uint32_t &se)
     {
@@ -91,7 +94,7 @@ class StealRange
             uint32_t b = begin(cur), e = end(cur);
             if (b >= e)
                 return false;
-            uint32_t mid = b + (e - b + 1) / 2;
+            uint32_t mid = b + (e - b) / 2;
             if (r_.compare_exchange_weak(cur, pack(b, mid),
                                          std::memory_order_acq_rel)) {
                 sb = mid;

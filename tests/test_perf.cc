@@ -56,7 +56,7 @@ TEST(PerfCounters, CumulativeReadsAreMonotone)
     // Burn some user-space work between the two readings.
     volatile uint64_t sink = 0;
     for (uint64_t i = 0; i < 2000000; ++i)
-        sink += i * 2654435761u;
+        sink = sink + i * 2654435761u;
     perf::Reading b = perf::read();
     EXPECT_GE(b.cycles, a.cycles);
     EXPECT_GE(b.instructions, a.instructions);

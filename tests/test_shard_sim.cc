@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <vector>
 
 #include "cache/cache_sim.hh"
@@ -116,6 +117,11 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
     for (int i = 0; i < 8; ++i)
         configs.push_back({sizes[rng.below(4)], lines[rng.below(3)],
                            assocs[rng.below(5)]});
+    // Mixed line sizes for certain, and a member with fewer sets (4)
+    // than the widest shard counts.
+    configs.push_back({4 << 10, 16, 2});
+    configs.push_back({8 << 10, 128, 1});
+    configs.push_back({1 << 10, 64, 4});
 
     std::vector<CacheStats> serial;
     for (const CacheConfig &c : configs) {
@@ -125,11 +131,22 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
         serial.push_back(sim.stats());
     }
 
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
+    for (unsigned shards : {1u, 2u, 3u, 4u, 6u, 8u}) {
+        SetPartition part(configs, shards);
+        // Uneven time slices, scattered separately and consumed in
+        // stream order, as one window of the sharded runner.
+        std::vector<SetBuckets> slices;
+        size_t begin = 0;
+        for (size_t cut : {a.size() / 7, a.size() / 2, a.size()}) {
+            slices.emplace_back(part);
+            slices.back().scatter(a.data() + begin, cut - begin);
+            begin = cut;
+        }
         std::vector<std::vector<CacheStats>> per;
         for (unsigned s = 0; s < shards; ++s) {
-            SetShardSim shard(configs, s, shards);
-            shard.accessRange(a.data(), a.size());
+            SetShardSim shard(configs, s, part);
+            for (size_t m = 0; m < configs.size(); ++m)
+                shard.consume(m, slices.data(), slices.size());
             per.push_back(shard.stats());
         }
         std::vector<CacheStats> merged = mergeShardStats(per);
@@ -139,17 +156,51 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
                           configs[i].str() + " @" +
                               std::to_string(shards) + " shards");
     }
+
+    // One shard owns every set: the unscattered path.
+    SetPartition whole(configs, 1);
+    SetShardSim one(configs, 0, whole);
+    one.accessRange(a.data(), a.size());
+    std::vector<CacheStats> direct = one.stats();
+    for (size_t i = 0; i < configs.size(); ++i)
+        expectStatsEq(direct[i], serial[i], configs[i].str() + " direct");
 }
 
 TEST(SetShard, EveryAccessLandsOnExactlyOneShard)
 {
     std::vector<Addr> a = syntheticStream(3, 20000, 1 << 16);
-    std::vector<CacheConfig> configs{{16 << 10, 32, 2}};
-    for (unsigned shards : {2u, 4u, 8u}) {
+    std::vector<CacheConfig> configs{
+        {16 << 10, 32, 2}, {64 << 10, 64, 1}, {1 << 10, 64, 4}};
+    for (unsigned shards : {2u, 3u, 4u, 8u}) {
+        SetPartition part(configs, shards);
+        ASSERT_EQ(part.groups(), 2u);
+        SetBuckets slice(part);
+        slice.scatter(a.data(), a.size());
+        for (unsigned g = 0; g < part.groups(); ++g) {
+            size_t total = 0;
+            for (unsigned s = 0; s < shards; ++s) {
+                const Addr *b = slice.data(g, s);
+                for (size_t i = 0; i < slice.size(g, s); ++i)
+                    ASSERT_EQ(part.shardOf(g, b[i]), s);
+                total += slice.size(g, s);
+            }
+            EXPECT_EQ(total, a.size()) << shards << " shards";
+        }
+        // Every set of every member has a single owner.
+        for (size_t i = 0; i < configs.size(); ++i) {
+            std::map<uint64_t, unsigned> owner;
+            for (Addr addr : a) {
+                uint64_t set =
+                    addr / configs[i].lineBytes % configs[i].numSets();
+                unsigned s = part.shardOf(part.groupOf(i), addr);
+                EXPECT_EQ(owner.emplace(set, s).first->second, s)
+                    << configs[i].str() << " set " << set;
+            }
+        }
         uint64_t total = 0;
         for (unsigned s = 0; s < shards; ++s) {
-            SetShardSim shard(configs, s, shards);
-            shard.accessRange(a.data(), a.size());
+            SetShardSim shard(configs, s, part);
+            shard.consume(0, &slice, 1);
             total += shard.stats()[0].accesses;
         }
         EXPECT_EQ(total, a.size()) << shards << " shards";
@@ -285,13 +336,18 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
 {
     Fixture &f = fix();
     std::vector<CacheConfig> configs = testConfigs();
+    // Mixed line sizes (16/32/64 B) in one call, and a member with
+    // fewer sets (4) than the widest shard counts.
+    configs.push_back({4 << 10, 16, 1});
+    configs.push_back({1 << 10, 64, 4});
+    const unsigned shardCounts[] = {1, 2, 3, 4, 6, 8};
+
     std::vector<CacheStats> sweepSerial =
         runCacheSweep(f.trace, f.layout, configs);
     std::vector<CacheStats> groupSerial =
         runCacheGroup(f.trace, f.layout, configs);
-
     MemoryTraceSource mem(f.trace);
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
+    for (unsigned shards : shardCounts) {
         std::vector<CacheStats> sweep =
             runCacheSweepSharded(mem, f.layout, configs, shards);
         std::vector<CacheStats> group =
@@ -302,6 +358,36 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
             expectStatsEq(group[i], groupSerial[i],
                           "group " + configs[i].str());
         }
+    }
+
+    // A long small-chunk source: 24 frames in 512-record chunks (4224
+    // chunks) give two scatter windows at 2 shards with frame-final
+    // partial chunks inside them, and a chunk count that is no
+    // multiple of any window. Only the set-associative members take
+    // the scatter path, so only they replay the long stream.
+    constexpr uint64_t kFrames = 24;
+    TexelTrace frames;
+    frames.reserve(f.trace.size() * kFrames);
+    for (uint64_t i = 0; i < kFrames; ++i)
+        frames.appendPacked(f.trace.packed().data(), f.trace.size());
+    MemoryTraceSource chunked(f.trace, kFrames, 512);
+    std::vector<CacheConfig> sa;
+    for (const CacheConfig &c : configs)
+        if (c.assoc != CacheConfig::kFullyAssoc)
+            sa.push_back(c);
+    std::vector<CacheStats> longSerial =
+        runCacheGroup(frames, f.layout, sa);
+    for (unsigned shards : shardCounts) {
+        std::string at = " @" + std::to_string(shards) + " shards";
+        EXPECT_NE(chunked.chunkCount() %
+                      scatterWindow(shards, chunked.chunkRecords()),
+                  0u)
+            << at;
+        std::vector<CacheStats> group =
+            runCacheGroupSharded(chunked, f.layout, sa, shards);
+        for (size_t i = 0; i < sa.size(); ++i)
+            expectStatsEq(group[i], longSerial[i],
+                          "long " + sa[i].str() + at);
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -108,6 +109,24 @@ TEST(Sweep, RecordsRunStats)
     EXPECT_GT(s.busyMillis, 0.0);
     EXPECT_GT(s.utilization(), 0.0);
     EXPECT_LE(s.utilization(), 1.0);
+}
+
+TEST(Sweep, StealsAreNeverEmpty)
+{
+    // Worker 1 owns points 1 and 2 and sleeps in point 1. Worker 0
+    // finishes point 0 and must take point 2 in one steal, not spin
+    // on empty steals of a one-point range until worker 1 wakes.
+    ThreadEnv env("2");
+    std::vector<int> points{0, 1, 2};
+    std::vector<SweepResult<int>> r = Sweep::run(points, [](int i) {
+        if (i == 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return i;
+    });
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_EQ(r[2].value, 2);
+    // One steal, or two if worker 1 started late and lost point 1 too.
+    EXPECT_LE(Sweep::lastRunStats().steals, 2u);
 }
 
 TEST(Sweep, ParallelBitIdenticalAndIdenticallyOrderedToSerial)
