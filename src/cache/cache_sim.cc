@@ -47,7 +47,7 @@ CacheSim::CacheSim(const CacheConfig &config) : config_(config)
         ways_ = config.assoc;
         setMask_ = sets - 1;
     }
-    table_.assign(config.numSets() * ways_, Way{});
+    tags_.assign(config.numSets() * ways_, kInvalid);
 }
 
 CacheSim::~CacheSim() = default;
@@ -74,25 +74,19 @@ CacheSim::access(Addr addr)
     if (fa_)
         return fa_->access(addr);
     uint64_t line = addr >> lineShift_;
-    uint64_t set = line & setMask_;
-    Way *ways = &table_[set * ways_];
-
+    uint64_t *set = &tags_[(line & setMask_) * ways_];
     ++stats_.accesses;
-    ++tick_;
 
-    unsigned victim = 0;
-    uint64_t oldest = ~0ULL;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (ways[w].tag == line) {
-            ways[w].lastUse = tick_;
-            if (tracing::enabled(tracing::kTexels)) [[unlikely]]
-                tracing::cacheHit(addr, traceTag_);
-            return true;
-        }
-        if (ways[w].lastUse < oldest) {
-            oldest = ways[w].lastUse;
-            victim = w;
-        }
+    unsigned w = 0;
+    while (w < ways_ && set[w] != line)
+        ++w;
+    if (w < ways_) {
+        for (; w > 0; --w) // rotate the hit line to the front
+            set[w] = set[w - 1];
+        set[0] = line;
+        if (tracing::enabled(tracing::kTexels)) [[unlikely]]
+            tracing::cacheHit(addr, traceTag_);
+        return true;
     }
 
     ++stats_.misses;
@@ -105,10 +99,13 @@ CacheSim::access(Addr addr)
                            cold ? tracing::MissClass::Cold
                                 : tracing::MissClass::Other,
                            traceTag_);
-    if (ways[victim].tag != kInvalid)
+    // The last way is the least recently used line, or invalid while
+    // the set is still filling.
+    if (set[ways_ - 1] != kInvalid)
         ++stats_.evictions;
-    ways[victim].tag = line;
-    ways[victim].lastUse = tick_;
+    for (unsigned k = ways_ - 1; k > 0; --k)
+        set[k] = set[k - 1];
+    set[0] = line;
     return false;
 }
 
@@ -119,8 +116,7 @@ CacheSim::flush()
         fa_->flush();
         return;
     }
-    table_.assign(table_.size(), Way{});
-    tick_ = 0;
+    tags_.assign(tags_.size(), kInvalid);
 }
 
 void
@@ -130,9 +126,8 @@ CacheSim::reset()
         fa_->reset();
         return;
     }
-    table_.assign(table_.size(), Way{});
+    tags_.assign(tags_.size(), kInvalid);
     touched_.clear();
-    tick_ = 0;
     stats_ = CacheStats{};
 }
 
@@ -179,6 +174,12 @@ FullyAssocLru::access(Addr addr)
     uint64_t line = addr >> lineShift_;
     ++stats_.accesses;
 
+    // The most recent line needs no lookup and no relinking.
+    if (head_ != kNil && pool_[head_].line == line) {
+        if (tracing::enabled(tracing::kTexels)) [[unlikely]]
+            tracing::cacheHit(addr, traceTag_);
+        return true;
+    }
     auto it = map_.find(line);
     if (it != map_.end()) {
         uint32_t n = it->second;

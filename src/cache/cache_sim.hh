@@ -9,6 +9,15 @@
  * anywhere in the run) from the rest, which supports the paper's 3-C
  * style analysis when combined with a fully associative run of equal
  * size (see MissClassifier in three_c.hh).
+ *
+ * Each set keeps its tags in recency order, most recent first, so LRU
+ * needs no timestamps: a hit on the set's most recent line - the
+ * common case in texture streams, whose bilinear footprints touch the
+ * same line again and again - is one compare; a deeper hit rotates the
+ * line to the front; a miss shifts the set down one way and fills way
+ * 0, evicting the last way if it was valid. The fully associative
+ * FullyAssocLru checks its list head before the hash lookup for the
+ * same reason.
  */
 
 #ifndef TEXCACHE_CACHE_CACHE_SIM_HH
@@ -116,20 +125,16 @@ class CacheSim
     void setTraceTag(uint16_t tag);
 
   private:
-    struct Way
-    {
-        uint64_t tag = kInvalid;
-        uint64_t lastUse = 0;
-    };
     static constexpr uint64_t kInvalid = ~0ULL;
 
     CacheConfig config_;
     unsigned lineShift_;
     uint64_t setMask_;
     unsigned ways_;
-    std::vector<Way> table_; ///< numSets * ways_, row-major by set
+    /** numSets * ways_ line tags, row-major by set, each set most
+     *  recently used first; invalid ways (kInvalid) trail. */
+    std::vector<uint64_t> tags_;
     LineSet touched_;        ///< line addrs ever seen
-    uint64_t tick_ = 0;
     uint16_t traceTag_ = 0;  ///< source tag on emitted trace events
     CacheStats stats_;
     /** Large fully associative configs delegate here (O(1) LRU). */

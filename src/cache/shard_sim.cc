@@ -12,29 +12,13 @@ namespace texcache {
 
 SetPartition::SetPartition(const std::vector<CacheConfig> &configs,
                            unsigned shards)
-    : shards_(shards)
+    : lines_(configs), shards_(shards)
 {
     fatal_if(configs.empty(), "sharded simulation with no configs");
     fatal_if(!shards, "set partition into zero shards");
-    groupOf_.reserve(configs.size());
-    for (const CacheConfig &c : configs) {
-        unsigned shift = log2Exact(c.lineBytes);
-        uint64_t mask = std::min(c.numSets(), kOwnerTable) - 1;
-        auto it = std::find_if(
-            groups_.begin(), groups_.end(),
-            [&](const Group &g) { return g.lineShift == shift; });
-        if (it == groups_.end()) {
-            groups_.push_back({shift, mask});
-            it = groups_.end() - 1;
-        }
-        // Set counts are powers of two, so the smallest mask's bits
-        // are low bits of every member's set index.
-        it->mask = std::min(it->mask, mask);
-        groupOf_.push_back(static_cast<unsigned>(it - groups_.begin()));
-    }
     uint64_t table = 1;
-    for (const Group &g : groups_)
-        table = std::max(table, g.mask + 1);
+    for (unsigned g = 0; g < lines_.size(); ++g)
+        table = std::max(table, lines_[g].mask + 1);
     owner_.resize(table);
     for (uint64_t k = 0; k < table; ++k)
         owner_[k] = static_cast<uint32_t>(k % shards);
@@ -55,13 +39,18 @@ SetBuckets::Bucket::reserveMore(size_t n)
 SetBuckets::SetBuckets(const SetPartition &part)
     : part_(&part), buckets_(size_t(part.groups()) * part.shards()),
       cursor_(part.shards())
-{}
+{
+    for (unsigned g = 0; g < part.groups(); ++g)
+        filters_.emplace_back(part.lines_[g]);
+}
 
 void
 SetBuckets::clear()
 {
     for (Bucket &b : buckets_)
         b.size = 0;
+    for (SetMruFilter &f : filters_)
+        f.reset();
 }
 
 void
@@ -76,10 +65,10 @@ SetBuckets::scatter(const Addr *a, size_t n)
             b[s].reserveMore(n);
             cursor[s] = b[s].buf.get() + b[s].size;
         }
-        const unsigned shift = part_->groups_[g].lineShift;
-        const uint64_t mask = part_->groups_[g].mask;
-        for (size_t i = 0; i < n; ++i)
-            *cursor[owner[(a[i] >> shift) & mask]]++ = a[i];
+        // The filter's key is the partition's owner key.
+        filters_[g].forEachKept(a, n, [&](Addr x, uint64_t key) {
+            *cursor[owner[key]]++ = x;
+        });
         for (unsigned s = 0; s < shards; ++s)
             b[s].size = static_cast<size_t>(cursor[s] - b[s].buf.get());
     }
@@ -87,10 +76,11 @@ SetBuckets::scatter(const Addr *a, size_t n)
 
 SetShardSim::SetShardSim(const std::vector<CacheConfig> &configs,
                          unsigned shard, const SetPartition &part)
-    : shard_(shard), shards_(part.shards())
+    : shard_(shard)
 {
     fatal_if(configs.empty(), "sharded simulation with no configs");
-    fatal_if(shard >= shards_, "shard ", shard, " of ", shards_);
+    fatal_if(shard >= part.shards(), "shard ", shard, " of ",
+             part.shards());
     panic_if(part.configs() != configs.size(), "partition of ",
              part.configs(), " configs for a shard of ", configs.size());
     members_.reserve(configs.size());
@@ -112,17 +102,10 @@ SetShardSim::consume(size_t m, const SetBuckets *slices, size_t count)
         size_t n = slices[k].size(mem.group, shard_);
         for (size_t i = 0; i < n; ++i)
             mem.sim.access(a[i]);
+        // Filtered accesses belong to no shard; count them once.
+        if (shard_ == 0)
+            mem.filtered += slices[k].filtered(mem.group);
     }
-}
-
-void
-SetShardSim::accessRange(const Addr *a, size_t n)
-{
-    panic_if(shards_ != 1, "unscattered access to shard ", shard_,
-             " of ", shards_);
-    for (Member &m : members_)
-        for (size_t i = 0; i < n; ++i)
-            m.sim.access(a[i]);
 }
 
 std::vector<CacheStats>
@@ -130,8 +113,10 @@ SetShardSim::stats() const
 {
     std::vector<CacheStats> out;
     out.reserve(members_.size());
-    for (const Member &m : members_)
+    for (const Member &m : members_) {
         out.push_back(m.sim.stats());
+        out.back().accesses += m.filtered;
+    }
     return out;
 }
 

@@ -12,14 +12,19 @@
  *    and feeding it, in stream order, exactly the accesses to those
  *    sets yields per-shard statistics whose field-wise sum equals the
  *    serial run - including evictions and cold misses. The stream is
- *    decoded and mapped once: each time slice is scattered into
- *    per-shard buckets (SetBuckets::scatter), and each shard consumes
- *    its buckets slice by slice, simulating every address once. The
- *    bucket key (SetPartition) is (line & mask) % shards, where mask
- *    keeps the low set-index bits shared by every member of one line
- *    size; the key is thus a function of each member's set index, so
- *    every set has exactly one owner and scattering preserves each
- *    set's access order.
+ *    decoded and mapped once: each time slice is passed through the
+ *    set-MRU filter of multi_sim.hh and its kept addresses scattered
+ *    into per-shard buckets (SetBuckets::scatter), and each shard
+ *    consumes its buckets slice by slice, simulating every kept
+ *    address once. The bucket key (SetPartition) is (line & mask) %
+ *    shards, where mask keeps the low set-index bits shared by every
+ *    member of one line size - the same key the filter's table uses;
+ *    the key is thus a function of each member's set index, so every
+ *    set has exactly one owner and scattering preserves each set's
+ *    access order. A filtered access hits in every member without
+ *    changing its state, so the filter may run per slice (its table
+ *    reset at each slice start, which only keeps more) and its count
+ *    is credited once, to shard 0, keeping the merge a plain sum.
  *
  *  - Time partitioning (StackSegmentPass + mergeStackShards), for the
  *    fully associative stack-distance profile, in the style of PARDA
@@ -59,68 +64,59 @@ namespace texcache {
 /**
  * Which shard owns each set of a family of cache configurations.
  *
- * Members are grouped by line size. Within a group, address a belongs
- * to shard owner[(a >> lineShift) & mask]: mask keeps the low set-index
- * bits every member of the group shares (the group's smallest set
- * count, capped at kOwnerTable), and owner[k] = k % shards, so the
- * table turns the per-address modulo into a load. The key is a
- * function of each member's set index, so every set of every member is
- * owned by exactly one shard, for any shard count. A member with fewer
- * sets than shards narrows its whole group to that many shards (the
- * rest idle for that group); results stay exact.
+ * Members are grouped by line size (LineGroups). Within a group,
+ * address a belongs to shard owner[(a >> lineShift) & mask], where
+ * mask keeps the low set-index bits every member of the group shares
+ * and owner[k] = k % shards, so the table turns the per-address modulo
+ * into a load. The key is a function of each member's set index, so
+ * every set of every member is owned by exactly one shard, for any
+ * shard count. A member with fewer sets than shards narrows its whole
+ * group to that many shards (the rest idle for that group); results
+ * stay exact.
  */
 class SetPartition
 {
   public:
-    /** Largest owner table; 1024 keys keep k % shards near-balanced
-     *  for any shard count while the table stays in L1. */
-    static constexpr uint64_t kOwnerTable = 1024;
-
     SetPartition(const std::vector<CacheConfig> &configs,
                  unsigned shards);
 
     unsigned shards() const { return shards_; }
 
     /** Distinct line sizes among the configurations. */
-    unsigned groups() const
-    {
-        return static_cast<unsigned>(groups_.size());
-    }
+    unsigned groups() const { return lines_.size(); }
 
     /** Configurations the partition was built from. */
-    size_t configs() const { return groupOf_.size(); }
+    size_t configs() const { return lines_.configs(); }
 
     /** Line-size group of the constructor's @p i-th configuration. */
-    unsigned groupOf(size_t i) const { return groupOf_[i]; }
+    unsigned groupOf(size_t i) const { return lines_.groupOf(i); }
 
     /** The shard owning @p a's set in every member of @p group. */
     unsigned
     shardOf(unsigned group, Addr a) const
     {
-        const Group &g = groups_[group];
+        const LineGroups::Group &g = lines_[group];
         return owner_[(a >> g.lineShift) & g.mask];
     }
 
   private:
     friend class SetBuckets;
 
-    struct Group
-    {
-        unsigned lineShift;
-        uint64_t mask;
-    };
-
-    std::vector<Group> groups_;
-    std::vector<unsigned> groupOf_;
+    LineGroups lines_;
     std::vector<uint32_t> owner_;
     unsigned shards_;
 };
 
 /**
- * One time slice of the stream, scattered: bucket (group, shard) holds,
- * in stream order, the slice's addresses whose set belongs to the shard
- * in that line-size group's members. Buffers are kept across clear(),
- * so a replay that reuses its slices allocates only while warming up.
+ * One time slice of the stream, filtered and scattered: each line-size
+ * group's set-MRU filter (multi_sim.hh) drops the slice's guaranteed
+ * hits, and bucket (group, shard) holds, in stream order, the kept
+ * addresses whose set belongs to the shard in that group's members.
+ * A slice is a discontinuous piece of the stream, so clear() resets
+ * the filters along with the buckets, and each slice's dropped count
+ * is credited once per group (SetShardSim::consume credits it to
+ * shard 0). Buffers are kept across clear(), so a replay that reuses
+ * its slices allocates only while warming up.
  */
 class SetBuckets
 {
@@ -128,10 +124,11 @@ class SetBuckets
     /** @p part must outlive the buckets. */
     explicit SetBuckets(const SetPartition &part);
 
-    /** Empty every bucket (capacity is kept). */
+    /** Empty every bucket (capacity is kept) and reset the filters. */
     void clear();
 
-    /** Append each of a[0..n) to its bucket in every group. */
+    /** Filter a[0..n) and append each kept address to its bucket, in
+     *  every group. */
     void scatter(const Addr *a, size_t n);
 
     const Addr *
@@ -144,6 +141,13 @@ class SetBuckets
     size(unsigned group, unsigned shard) const
     {
         return buckets_[group * part_->shards() + shard].size;
+    }
+
+    /** Accesses of @p group the filter dropped since clear(): hits in
+     *  every member, in no bucket. */
+    uint64_t filtered(unsigned group) const
+    {
+        return filters_[group].dropped();
     }
 
   private:
@@ -159,14 +163,15 @@ class SetBuckets
 
     const SetPartition *part_;
     std::vector<Bucket> buckets_; ///< [group * shards + shard]
+    std::vector<SetMruFilter> filters_; ///< one per group
     std::vector<Addr *> cursor_;  ///< scatter scratch, one per shard
 };
 
 /**
  * One shard of a set-partitioned multi-config simulation: the member
- * sims of every configuration, fed only addresses whose set this
- * shard owns. Run one instance per shard and merge with
- * mergeShardStats().
+ * sims of every configuration, fed only the kept addresses whose set
+ * this shard owns. Run one instance per shard and merge with
+ * mergeShardStats(); a one-shard replay uses GroupSim instead.
  */
 class SetShardSim
 {
@@ -178,14 +183,12 @@ class SetShardSim
 
     /** Feed member @p m (the constructor's m-th config) this shard's
      *  buckets of @p count consecutive slices, in slice (stream)
-     *  order. Distinct members may consume concurrently. */
+     *  order; shard 0 also counts the slices' filtered accesses.
+     *  Distinct members may consume concurrently. */
     void consume(size_t m, const SetBuckets *slices, size_t count);
 
-    /** Feed a[0..n) to every member, unscattered: valid only when the
-     *  partition has one shard, which owns every set. */
-    void accessRange(const Addr *a, size_t n);
-
-    /** Per-config statistics over this shard's sets only. */
+    /** Per-config statistics over this shard's sets only (shard 0's
+     *  include every filtered access). */
     std::vector<CacheStats> stats() const;
 
   private:
@@ -193,11 +196,11 @@ class SetShardSim
     {
         CacheSim sim;
         unsigned group;
+        uint64_t filtered = 0; ///< dropped hits credited (shard 0)
     };
 
     std::vector<Member> members_;
     unsigned shard_;
-    unsigned shards_;
 };
 
 /**

@@ -38,6 +38,7 @@ ShardedStackProfile
 stackPass(const TraceSource &src, const SceneLayout &layout,
           unsigned line_bytes, unsigned shards)
 {
+    SweepRunGroup runs;
     perf::addSimulatedAccesses(src.records());
     unsigned segs = segmentCount(src, shards);
     std::vector<unsigned> ids(segs);
@@ -70,19 +71,22 @@ std::vector<CacheStats>
 setPass(const TraceSource &src, const SceneLayout &layout,
         const std::vector<CacheConfig> &configs, unsigned shards)
 {
+    SweepRunGroup runs;
     perf::addSimulatedAccesses(src.records());
+    if (shards == 1) {
+        // One shard owns every set: no scatter, the serial replay.
+        GroupSim group(configs);
+        replaySegment(src, layout, 0, src.chunkCount(),
+                      [&](const Addr *a, size_t n) {
+                          group.accessRange(a, n);
+                      });
+        return group.stats();
+    }
     SetPartition part(configs, shards);
     std::vector<SetShardSim> sims;
     sims.reserve(shards);
     for (unsigned s = 0; s < shards; ++s)
         sims.emplace_back(configs, s, part);
-    if (shards == 1) {
-        replaySegment(src, layout, 0, src.chunkCount(),
-                      [&](const Addr *a, size_t n) {
-                          sims[0].accessRange(a, n);
-                      });
-        return sims[0].stats();
-    }
 
     const unsigned nslices = shards * kScatterSlicesPerShard;
     std::vector<SetBuckets> slices;
@@ -151,6 +155,7 @@ runConfigsSharded(const TraceSource &src, const SceneLayout &layout,
                   unsigned shards, bool fa_evictions)
 {
     fatal_if(configs.empty(), "sharded sweep with no configs");
+    SweepRunGroup runs;
 
     std::vector<CacheConfig> sa;
     std::vector<size_t> sa_idx;
@@ -217,6 +222,7 @@ classifySharded(const TraceSource &src, const SceneLayout &layout,
                 const CacheConfig &config, unsigned shards)
 {
     shards = resolveShards(shards);
+    SweepRunGroup runs;
     CacheStats s = runCacheSharded(src, layout, config, shards);
     ShardedStackProfile prof =
         stackPass(src, layout, config.lineBytes, shards);

@@ -11,10 +11,12 @@
  *    window of chunks at a time. The workers first cut the window into
  *    contiguous time slices and decode, map and scatter each slice
  *    once into per-shard buckets keyed by set (cache/shard_sim.hh,
- *    SetPartition); then each shard's member simulators read its
- *    buckets in slice order. Every record is decoded and mapped once
- *    and every address simulated once, and the window (scatterWindow)
- *    bounds the buckets' memory;
+ *    SetPartition), dropping each slice's set-MRU repeats on the way
+ *    (SetMruFilter, cache/multi_sim.hh); then each shard's member
+ *    simulators read its buckets in slice order. Every record is
+ *    decoded and mapped once and every kept address simulated once,
+ *    and the window (scatterWindow) bounds the buckets' memory. One
+ *    shard skips the scatter and replays through GroupSim;
  *  - fully associative profiles: the chunk range is cut into
  *    contiguous segments profiled independently and reconciled
  *    exactly.
@@ -25,6 +27,9 @@
  * bounded by the chunk window regardless of trace length - the
  * billion-access runs of bench/micro_shard.cc never materialize a
  * trace.
+ *
+ * Each runner groups its Sweep::runs (SweepRunGroup), so
+ * Sweep::lastRunStats() after a call describes the whole call.
  *
  * @p shards selects the decomposition width; 0 means the sweep
  * thread count. Shard count and thread count are independent: 8

@@ -1,5 +1,6 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -50,6 +51,10 @@ informProgress(uint64_t completed, uint64_t total, double elapsed_ms)
 std::atomic<int> activeRuns{0};
 std::mutex lastStatsMutex;
 SweepRunStats lastStats;
+
+/** This thread's open SweepRunGroups and what their runs summed. */
+thread_local int groupDepth = 0;
+thread_local SweepRunStats groupStats;
 
 /**
  * A worker's remaining index range, packed (begin << 32 | end) into
@@ -141,6 +146,21 @@ Sweep::lastRunStats()
     return lastStats;
 }
 
+SweepRunGroup::SweepRunGroup()
+    : active_(activeRuns.load(std::memory_order_acquire) == 0)
+{
+    if (active_ && groupDepth++ == 0)
+        groupStats = SweepRunStats{};
+}
+
+SweepRunGroup::~SweepRunGroup()
+{
+    if (!active_ || --groupDepth)
+        return;
+    std::lock_guard<std::mutex> g(lastStatsMutex);
+    lastStats = groupStats;
+}
+
 void
 Sweep::runIndexed(size_t n, const std::function<void(size_t)> &work)
 {
@@ -167,12 +187,22 @@ Sweep::runIndexed(size_t n, const std::function<void(size_t)> &work)
     auto publish = [&](uint64_t steals, double busy_ms) {
         if (!top)
             return;
+        SweepRunStats r;
+        r.points = n;
+        r.threads = threads ? threads : 1;
+        r.steals = steals;
+        r.wallMillis = millisSince(run_start);
+        r.busyMillis = busy_ms;
+        if (groupDepth) {
+            groupStats.points += r.points;
+            groupStats.threads = std::max(groupStats.threads, r.threads);
+            groupStats.steals += r.steals;
+            groupStats.wallMillis += r.wallMillis;
+            groupStats.busyMillis += r.busyMillis;
+            return;
+        }
         std::lock_guard<std::mutex> g(lastStatsMutex);
-        lastStats.points = n;
-        lastStats.threads = threads ? threads : 1;
-        lastStats.steals = steals;
-        lastStats.wallMillis = millisSince(run_start);
-        lastStats.busyMillis = busy_ms;
+        lastStats = r;
     };
 
     if (threads <= 1) {

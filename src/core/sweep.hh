@@ -23,7 +23,10 @@
  * Observability: every top-level run records a SweepRunStats (steal
  * count, thread utilization, wall-clock) retrievable via
  * Sweep::lastRunStats() until the next run; benches export it into
- * their stats tree (bench/bench_util.hh). Setting TEXCACHE_PROGRESS=1
+ * their stats tree (bench/bench_util.hh). A runner that makes several
+ * runs for one result (core/shard_replay.cc) holds a SweepRunGroup,
+ * so lastRunStats() describes the whole call rather than its last
+ * run. Setting TEXCACHE_PROGRESS=1
  * makes long runs inform() completed/total points and an ETA every
  * few seconds; it is off by default so bench stderr stays quiet.
  */
@@ -74,8 +77,9 @@ class Sweep
     /**
      * Behavior of the most recent *top-level* run (nested runs - a
      * point that itself sweeps - fold into their enclosing run's
-     * busy time and do not overwrite this). Read it right after the
-     * run(...) call whose behavior you want.
+     * busy time and do not overwrite this; runs inside a
+     * SweepRunGroup publish together when it ends). Read it right
+     * after the call whose behavior you want.
      */
     static SweepRunStats lastRunStats();
 
@@ -108,6 +112,28 @@ class Sweep
     /** Run work(0..n-1) on the pool; blocks until all complete. */
     static void runIndexed(size_t n,
                            const std::function<void(size_t)> &work);
+};
+
+/**
+ * Folds the top-level runs its thread makes while it lives into one
+ * SweepRunStats, published to Sweep::lastRunStats() when the outermost
+ * group ends: points, steals, busy and wall are summed over the runs
+ * (so utilization is that of the pool while it ran) and threads is
+ * the widest run's. Groups nest - an inner group folds into the
+ * outer one - and a group made inside a running sweep point records
+ * nothing, like the nested runs it would hold. A group that held no
+ * run publishes zeros: the call ran no sweep.
+ */
+class SweepRunGroup
+{
+  public:
+    SweepRunGroup();
+    ~SweepRunGroup();
+    SweepRunGroup(const SweepRunGroup &) = delete;
+    SweepRunGroup &operator=(const SweepRunGroup &) = delete;
+
+  private:
+    bool active_;
 };
 
 } // namespace texcache

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/multi_sim.hh"
@@ -49,13 +50,36 @@ bruteForce(const std::vector<Addr> &stream, const CacheConfig &config)
     return sim.stats();
 }
 
+/** Compare the counters both sides model; @p evictions when both
+ *  have CacheSim semantics (the collapsed FA sweep reports none). */
 void
 expectSame(const CacheStats &got, const CacheStats &want,
-           const std::string &what)
+           const std::string &what, bool evictions = false)
 {
     EXPECT_EQ(got.accesses, want.accesses) << what;
     EXPECT_EQ(got.misses, want.misses) << what;
     EXPECT_EQ(got.coldMisses, want.coldMisses) << what;
+    if (evictions) {
+        EXPECT_EQ(got.evictions, want.evictions) << what;
+    }
+}
+
+/** GroupSim over @p stream, fed in spans of @p span, against one
+ *  brute-force CacheSim per config - evictions included. */
+void
+expectGroupMatchesBruteForce(const std::vector<Addr> &stream,
+                             const std::vector<CacheConfig> &configs,
+                             size_t span, const std::string &what)
+{
+    GroupSim group(configs);
+    for (size_t i = 0; i < stream.size(); i += span)
+        group.accessRange(stream.data() + i,
+                          std::min(span, stream.size() - i));
+    std::vector<CacheStats> got = group.stats();
+    ASSERT_EQ(got.size(), configs.size());
+    for (size_t i = 0; i < configs.size(); ++i)
+        expectSame(got[i], bruteForce(stream, configs[i]),
+                   what + " " + configs[i].str(), true);
 }
 
 const std::vector<uint64_t> kSizes = {2 << 10, 8 << 10, 32 << 10,
@@ -145,13 +169,33 @@ TEST(GroupSim, MatchesIndividualSims)
         {16 << 10, 64, 4},
         {16 << 10, 64, CacheConfig::kFullyAssoc},
     };
-    GroupSim group(configs);
-    group.accessRange(stream.data(), stream.size());
-    std::vector<CacheStats> got = group.stats();
-    ASSERT_EQ(got.size(), configs.size());
-    for (size_t i = 0; i < configs.size(); ++i)
-        expectSame(got[i], bruteForce(stream, configs[i]),
-                   configs[i].str());
+    expectGroupMatchesBruteForce(stream, configs, stream.size(),
+                                 "family");
+
+    // One line size, set counts 32 through 1024 (past the filter's
+    // 1024-key cap) and an FA member that narrows the filter to the
+    // previous line; mixed with a second line size, in odd spans.
+    std::vector<CacheConfig> ladder;
+    for (uint64_t sets = 32; sets <= 2048; sets <<= 1)
+        ladder.push_back({sets * 2 * 32, 32, 2});
+    ladder.push_back({64 << 10, 32, 1});
+    ladder.push_back({4 << 10, 32, CacheConfig::kFullyAssoc});
+    expectGroupMatchesBruteForce(stream, ladder, 1000, "ladder");
+    ladder.pop_back(); // without the FA member: a 32-key filter
+    ladder.push_back({8 << 10, 128, 4});
+    expectGroupMatchesBruteForce(stream, ladder, 777, "ladder+128B");
+
+    // Line X is the most recent line of its set in the 1024-set member
+    // but not in the 32-set one, where Y came after it: the filter
+    // must keep the second X, or the 32-set member's LRU order goes
+    // wrong and the final Y hits where it must miss.
+    const Addr X = 0, Y = 32 * 64, Z = 64 * 64;
+    std::vector<Addr> handBuilt = {X, Y, X, Z, Y, X, Z, Z, Y};
+    std::vector<CacheConfig> pair = {{4 << 10, 64, 2},
+                                     {64 << 10, 64, 1}};
+    expectGroupMatchesBruteForce(handBuilt, pair, handBuilt.size(),
+                                 "hand-built");
+    expectGroupMatchesBruteForce(handBuilt, pair, 1, "hand-built/1");
 }
 
 // The end-to-end contract on the real workloads: for every benchmark
@@ -213,5 +257,6 @@ TEST(RunCacheSweep, MixedConfigListMatchesPerConfigReplays)
     ASSERT_EQ(got.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i)
         expectSame(got[i], runCache(trace, layout, configs[i]),
-                   configs[i].str());
+                   configs[i].str(),
+                   configs[i].assoc != CacheConfig::kFullyAssoc);
 }

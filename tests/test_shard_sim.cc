@@ -21,6 +21,7 @@
 #include "core/experiment.hh"
 #include "core/scene_layout.hh"
 #include "core/shard_replay.hh"
+#include "core/sweep.hh"
 #include "trace/chunked_trace.hh"
 #include "trace/trace_source.hh"
 
@@ -106,39 +107,47 @@ evenCuts(size_t n, unsigned segs)
 
 // ---- Set partitioning ----------------------------------------------
 
-TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
-{
-    std::vector<Addr> a = syntheticStream(7, 60000, 1 << 18);
-    std::vector<CacheConfig> configs;
-    Rng rng(11);
-    const uint64_t sizes[] = {8 << 10, 16 << 10, 32 << 10, 64 << 10};
-    const unsigned lines[] = {16, 32, 64};
-    const unsigned assocs[] = {1, 2, 4, 8, CacheConfig::kFullyAssoc};
-    for (int i = 0; i < 8; ++i)
-        configs.push_back({sizes[rng.below(4)], lines[rng.below(3)],
-                           assocs[rng.below(5)]});
-    // Mixed line sizes for certain, and a member with fewer sets (4)
-    // than the widest shard counts.
-    configs.push_back({4 << 10, 16, 2});
-    configs.push_back({8 << 10, 128, 1});
-    configs.push_back({1 << 10, 64, 4});
+namespace {
 
-    std::vector<CacheStats> serial;
+/** Serial reference: one lone, unfiltered CacheSim per config. */
+std::vector<CacheStats>
+serialStats(const std::vector<Addr> &a,
+            const std::vector<CacheConfig> &configs)
+{
+    std::vector<CacheStats> out;
     for (const CacheConfig &c : configs) {
         CacheSim sim(c);
         for (Addr addr : a)
             sim.access(addr);
-        serial.push_back(sim.stats());
+        out.push_back(sim.stats());
     }
+    return out;
+}
 
+/**
+ * Scatter @p a in uneven time slices (@p cuts, ending at a.size()),
+ * consume them per shard in stream order, as one window of the
+ * sharded runner, and compare the merge against the serial replay for
+ * every shard count - and the one-shard GroupSim replay too. Each
+ * slice's buckets first scatter the whole stream and clear() it, so a
+ * filter that kept its table across clear() would drop lines that are
+ * not the most recent of their set in the slice's own past.
+ */
+void
+expectShardedMatchesSerial(const std::vector<Addr> &a,
+                           const std::vector<CacheConfig> &configs,
+                           const std::vector<size_t> &cuts,
+                           const std::string &what)
+{
+    std::vector<CacheStats> serial = serialStats(a, configs);
     for (unsigned shards : {1u, 2u, 3u, 4u, 6u, 8u}) {
         SetPartition part(configs, shards);
-        // Uneven time slices, scattered separately and consumed in
-        // stream order, as one window of the sharded runner.
         std::vector<SetBuckets> slices;
         size_t begin = 0;
-        for (size_t cut : {a.size() / 7, a.size() / 2, a.size()}) {
+        for (size_t cut : cuts) {
             slices.emplace_back(part);
+            slices.back().scatter(a.data(), a.size());
+            slices.back().clear();
             slices.back().scatter(a.data() + begin, cut - begin);
             begin = cut;
         }
@@ -153,17 +162,64 @@ TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
         ASSERT_EQ(merged.size(), configs.size());
         for (size_t i = 0; i < configs.size(); ++i)
             expectStatsEq(merged[i], serial[i],
-                          configs[i].str() + " @" +
+                          what + " " + configs[i].str() + " @" +
                               std::to_string(shards) + " shards");
     }
 
-    // One shard owns every set: the unscattered path.
-    SetPartition whole(configs, 1);
-    SetShardSim one(configs, 0, whole);
+    // One shard owns every set: the unscattered replay.
+    GroupSim one(configs);
     one.accessRange(a.data(), a.size());
     std::vector<CacheStats> direct = one.stats();
     for (size_t i = 0; i < configs.size(); ++i)
-        expectStatsEq(direct[i], serial[i], configs[i].str() + " direct");
+        expectStatsEq(direct[i], serial[i],
+                      what + " " + configs[i].str() + " direct");
+}
+
+} // namespace
+
+TEST(SetShard, MergesExactlyAcrossConfigsAndShardCounts)
+{
+    std::vector<Addr> a = syntheticStream(7, 60000, 1 << 18);
+    const std::vector<size_t> cuts = {a.size() / 7, a.size() / 2,
+                                      a.size()};
+    std::vector<CacheConfig> configs;
+    Rng rng(11);
+    const uint64_t sizes[] = {8 << 10, 16 << 10, 32 << 10, 64 << 10};
+    const unsigned lines[] = {16, 32, 64};
+    const unsigned assocs[] = {1, 2, 4, 8, CacheConfig::kFullyAssoc};
+    for (int i = 0; i < 8; ++i)
+        configs.push_back({sizes[rng.below(4)], lines[rng.below(3)],
+                           assocs[rng.below(5)]});
+    // Mixed line sizes for certain, and a member with fewer sets (4)
+    // than the widest shard counts.
+    configs.push_back({4 << 10, 16, 2});
+    configs.push_back({8 << 10, 128, 1});
+    configs.push_back({1 << 10, 64, 4});
+    expectShardedMatchesSerial(a, configs, cuts, "random");
+
+    // One line size, set counts 32 through 2048 (past the 1024-key
+    // cap), with and without an FA member (one set: the filter keys
+    // on the previous line only).
+    std::vector<CacheConfig> ladder;
+    for (uint64_t sets = 32; sets <= 2048; sets <<= 1)
+        ladder.push_back({sets * 2 * 32, 32, 2});
+    ladder.push_back({64 << 10, 32, 1});
+    expectShardedMatchesSerial(a, ladder, cuts, "ladder");
+    ladder.push_back({4 << 10, 32, CacheConfig::kFullyAssoc});
+    expectShardedMatchesSerial(a, ladder, cuts, "ladder+fa");
+
+    // Line X (0) is the most recent line of its set in the 1024-set
+    // member but not in the 32-set one, where Y (line 32) came after
+    // it: dropping the second X would leave the 32-set member's LRU
+    // order wrong, so Z (line 64) would evict X instead of Y and the
+    // final Y would hit where it must miss.
+    const Addr X = 0, Y = 32 * 64, Z = 64 * 64;
+    std::vector<Addr> hand = {X, Y, X, Z, Y, X, Z, Z, Y, Y, X};
+    std::vector<CacheConfig> pair = {{4 << 10, 64, 2},
+                                     {64 << 10, 64, 1}};
+    expectShardedMatchesSerial(hand, pair, {hand.size()}, "hand-built");
+    expectShardedMatchesSerial(hand, pair, {3, 5, hand.size()},
+                               "hand-built sliced");
 }
 
 TEST(SetShard, EveryAccessLandsOnExactlyOneShard)
@@ -176,8 +232,10 @@ TEST(SetShard, EveryAccessLandsOnExactlyOneShard)
         ASSERT_EQ(part.groups(), 2u);
         SetBuckets slice(part);
         slice.scatter(a.data(), a.size());
+        // Each access is either filtered (a hit in every member of its
+        // group) or in exactly one bucket.
         for (unsigned g = 0; g < part.groups(); ++g) {
-            size_t total = 0;
+            size_t total = slice.filtered(g);
             for (unsigned s = 0; s < shards; ++s) {
                 const Addr *b = slice.data(g, s);
                 for (size_t i = 0; i < slice.size(g, s); ++i)
@@ -332,6 +390,21 @@ testConfigs()
 
 } // namespace
 
+namespace {
+
+/** Brute-force reference: one lone, unfiltered runCache per config. */
+std::vector<CacheStats>
+perConfigStats(const TexelTrace &trace, const SceneLayout &layout,
+               const std::vector<CacheConfig> &configs)
+{
+    std::vector<CacheStats> out;
+    for (const CacheConfig &c : configs)
+        out.push_back(runCache(trace, layout, c));
+    return out;
+}
+
+} // namespace
+
 TEST(ShardReplay, SweepAndGroupMatchSerial)
 {
     Fixture &f = fix();
@@ -340,23 +413,37 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
     // fewer sets (4) than the widest shard counts.
     configs.push_back({4 << 10, 16, 1});
     configs.push_back({1 << 10, 64, 4});
+    // One line size with set counts 32 through 1024 beside an FA
+    // member (the 32 B group above already holds FA and 32-set ones).
+    std::vector<CacheConfig> ladder;
+    for (uint64_t sets = 32; sets <= 1024; sets <<= 1)
+        ladder.push_back({sets * 4 * 128, 128, 4});
+    ladder.push_back({16 << 10, 128, CacheConfig::kFullyAssoc});
     const unsigned shardCounts[] = {1, 2, 3, 4, 6, 8};
 
-    std::vector<CacheStats> sweepSerial =
-        runCacheSweep(f.trace, f.layout, configs);
-    std::vector<CacheStats> groupSerial =
-        runCacheGroup(f.trace, f.layout, configs);
     MemoryTraceSource mem(f.trace);
-    for (unsigned shards : shardCounts) {
-        std::vector<CacheStats> sweep =
-            runCacheSweepSharded(mem, f.layout, configs, shards);
-        std::vector<CacheStats> group =
-            runCacheGroupSharded(mem, f.layout, configs, shards);
-        for (size_t i = 0; i < configs.size(); ++i) {
-            expectStatsEq(sweep[i], sweepSerial[i],
-                          "sweep " + configs[i].str());
-            expectStatsEq(group[i], groupSerial[i],
-                          "group " + configs[i].str());
+    for (const auto &family : {configs, ladder}) {
+        std::vector<CacheStats> sweepSerial =
+            runCacheSweep(f.trace, f.layout, family);
+        std::vector<CacheStats> groupSerial =
+            runCacheGroup(f.trace, f.layout, family);
+        std::vector<CacheStats> lone =
+            perConfigStats(f.trace, f.layout, family);
+        for (size_t i = 0; i < family.size(); ++i)
+            expectStatsEq(groupSerial[i], lone[i],
+                          "serial group " + family[i].str());
+        for (unsigned shards : shardCounts) {
+            std::string at = " @" + std::to_string(shards) + " shards";
+            std::vector<CacheStats> sweep =
+                runCacheSweepSharded(mem, f.layout, family, shards);
+            std::vector<CacheStats> group =
+                runCacheGroupSharded(mem, f.layout, family, shards);
+            for (size_t i = 0; i < family.size(); ++i) {
+                expectStatsEq(sweep[i], sweepSerial[i],
+                              "sweep " + family[i].str() + at);
+                expectStatsEq(group[i], lone[i],
+                              "group " + family[i].str() + at);
+            }
         }
     }
 
@@ -364,7 +451,9 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
     // chunks) give two scatter windows at 2 shards with frame-final
     // partial chunks inside them, and a chunk count that is no
     // multiple of any window. Only the set-associative members take
-    // the scatter path, so only they replay the long stream.
+    // the scatter path, so only they replay the long stream, against
+    // lone unfiltered replays. Reused slices must reset their filters
+    // between windows.
     constexpr uint64_t kFrames = 24;
     TexelTrace frames;
     frames.reserve(f.trace.size() * kFrames);
@@ -372,11 +461,12 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
         frames.appendPacked(f.trace.packed().data(), f.trace.size());
     MemoryTraceSource chunked(f.trace, kFrames, 512);
     std::vector<CacheConfig> sa;
-    for (const CacheConfig &c : configs)
-        if (c.assoc != CacheConfig::kFullyAssoc)
-            sa.push_back(c);
+    for (const auto &family : {configs, ladder})
+        for (const CacheConfig &c : family)
+            if (c.assoc != CacheConfig::kFullyAssoc)
+                sa.push_back(c);
     std::vector<CacheStats> longSerial =
-        runCacheGroup(frames, f.layout, sa);
+        perConfigStats(frames, f.layout, sa);
     for (unsigned shards : shardCounts) {
         std::string at = " @" + std::to_string(shards) + " shards";
         EXPECT_NE(chunked.chunkCount() %
@@ -388,6 +478,16 @@ TEST(ShardReplay, SweepAndGroupMatchSerial)
         for (size_t i = 0; i < sa.size(); ++i)
             expectStatsEq(group[i], longSerial[i],
                           "long " + sa[i].str() + at);
+        if (shards == 1)
+            continue;
+        // The sweep stats describe the whole call: per window, one
+        // scatter run over the slices and one consume run over the
+        // (shard, member) pairs.
+        uint64_t window = scatterWindow(shards, chunked.chunkRecords());
+        uint64_t windows = (chunked.chunkCount() + window - 1) / window;
+        EXPECT_EQ(Sweep::lastRunStats().points,
+                  windows * shards * (kScatterSlicesPerShard + sa.size()))
+            << at;
     }
 }
 

@@ -111,6 +111,60 @@ TEST(Sweep, RecordsRunStats)
     EXPECT_LE(s.utilization(), 1.0);
 }
 
+TEST(Sweep, RunGroupPublishesTheSumOfItsRuns)
+{
+    ThreadEnv env("2");
+    std::vector<size_t> points(64);
+    std::iota(points.begin(), points.end(), 0);
+    std::vector<size_t> few(points.begin(), points.begin() + 5);
+
+    Sweep::run(few, skewedWork);
+    SweepRunStats alone = Sweep::lastRunStats();
+    EXPECT_EQ(alone.points, 5u);
+
+    SweepRunStats a, b;
+    {
+        SweepRunGroup outer;
+        Sweep::run(points, skewedWork);
+        a = Sweep::lastRunStats();
+        {
+            // A nested group folds into the outer one.
+            SweepRunGroup inner;
+            Sweep::run(points, skewedWork);
+        }
+        b = Sweep::lastRunStats();
+        // Nothing is published while the group is open: the last
+        // stats are still those of the run before it.
+        EXPECT_EQ(a.points, alone.points);
+        EXPECT_EQ(b.points, alone.points);
+        {
+            // A point's own group records nothing.
+            Sweep::run(few, [](size_t i) {
+                SweepRunGroup nested;
+                return i;
+            });
+        }
+    }
+    SweepRunStats g = Sweep::lastRunStats();
+    EXPECT_EQ(g.points, 64u + 64u + 5u);
+    EXPECT_EQ(g.threads, 2u);
+    EXPECT_GT(g.wallMillis, 0.0);
+    EXPECT_GT(g.busyMillis, 0.0);
+    EXPECT_GT(g.utilization(), 0.0);
+    EXPECT_LE(g.utilization(), 1.0);
+
+    // Runs after the group publish alone again.
+    Sweep::run(few, skewedWork);
+    EXPECT_EQ(Sweep::lastRunStats().points, 5u);
+
+    // A group that held no run says so.
+    {
+        SweepRunGroup empty;
+    }
+    EXPECT_EQ(Sweep::lastRunStats().points, 0u);
+    EXPECT_EQ(Sweep::lastRunStats().wallMillis, 0.0);
+}
+
 TEST(Sweep, StealsAreNeverEmpty)
 {
     // Worker 1 owns points 1 and 2 and sleeps in point 1. Worker 0
